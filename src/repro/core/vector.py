@@ -12,10 +12,13 @@ routine (and tested for agreement with it):
   flattened to sorted segment arrays; ``locate`` is
   :meth:`IntervalLayout.owner_at` over an offset batch via one
   ``searchsorted``.
-* :class:`ProbeMatrix` — the memoized probe sequences of
-  :class:`~repro.core.hashing.HashFamily`, held column-major per round
-  and grown lazily; columns are pure in ``(seed, name, round)`` so they
-  are computed once and reused across every reconfiguration epoch.
+* :class:`ProbeMatrix` — the probe sequences of
+  :class:`~repro.core.hashing.HashFamily`, held per round and digested
+  sparsely: round ``r`` is hashed only for the names a lookup actually
+  carries to round ``r``, and a reconfiguration that pushes a name
+  deeper extends it on demand. Offsets are pure in
+  ``(seed, name, round)``, so each is digested once and reused across
+  every reconfiguration epoch.
 * :func:`batched_locate` — the ANU re-hash loop ("re-hash until the
   offset lands in a mapped region") run round-by-round over the
   unresolved remainder of the batch.
@@ -26,7 +29,7 @@ routine (and tested for agreement with it):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,55 +178,129 @@ class SegmentTable:
 
 
 class ProbeMatrix:
-    """Probe-offset columns for a fixed name list, grown lazily by round.
+    """Probe offsets for a fixed name list, digested only where read.
 
-    Column ``r`` is ``h_r(name)`` for every name — bit-identical to
-    :meth:`HashFamily.offset` — computed once via
-    :meth:`HashFamily.batch_offsets` and reused for every epoch. Memory
-    is ``8 * len(names)`` bytes per materialized round; with half
-    occupancy the expected number of materialized rounds is ~2 plus the
-    tail of the worst name.
+    ANU re-hashes a name at round ``r`` only when its round ``r - 1``
+    probe missed every mapped region, so at half occupancy about
+    ``n / 2^r`` names ever reach round ``r``. The matrix mirrors that:
+    row ``i`` holds ``h_r(names[i])`` for rounds ``0 .. depth[i] - 1``
+    and nothing deeper. :meth:`column` digests a row's missing rounds
+    the first time a caller gathers it — :func:`batched_locate` gathers
+    round ``r`` only for the names still unresolved after rounds
+    ``< r`` — and every ``(name, round)`` pair is digested at most once,
+    through :meth:`HashFamily.batch_offsets` (values bit-identical to
+    :meth:`HashFamily.offset`). Offsets are pure in
+    ``(seed, name, round)``, so a digested value stays valid for every
+    later epoch.
+
+    Depth is a prefix: a row digested at round ``r`` was digested at
+    every earlier round (a name only reaches round ``r`` through them).
+    Each round's storage is one ``8 * len(names)``-byte array read only
+    where ``depth > r``; most pages of a deep, sparsely hashed round
+    are never touched.
     """
 
-    __slots__ = ("names", "family", "_columns", "_sorted")
+    __slots__ = ("names", "family", "_depth", "_rounds", "_sorted")
 
     def __init__(self, names: Sequence[str], family: HashFamily) -> None:
         self.names = list(names)
         self.family = family
-        self._columns: Dict[int, np.ndarray] = {}
+        self._depth = np.zeros(len(self.names), dtype=np.int64)
+        # _rounds[r][i] is valid iff _depth[i] > r.
+        self._rounds: List[np.ndarray] = []
         self._sorted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
 
     @property
-    def rounds_materialized(self) -> int:
-        return len(self._columns)
+    def depth(self) -> np.ndarray:
+        """Rounds digested per name (read-only view)."""
+        view = self._depth.view()
+        view.flags.writeable = False
+        return view
 
-    def column(self, round_: int) -> np.ndarray:
-        """Offsets of every name for probe ``round_`` (cached)."""
-        col = self._columns.get(round_)
-        if col is None:
-            col = self._columns[round_] = self.family.batch_offsets(
-                self.names, round_
+    @property
+    def rounds_materialized(self) -> int:
+        """Deepest round any name has been digested at, plus one."""
+        return len(self._rounds)
+
+    def _digest(self, rows: np.ndarray, round_: int) -> None:
+        """Digest ``round_`` for ``rows`` (distinct, each at depth ``round_``)."""
+        if round_ == len(self._rounds):
+            self._rounds.append(np.empty(len(self.names), dtype=np.float64))
+        names = self.names
+        if rows.size < len(names):
+            names = [names[i] for i in rows.tolist()]
+        vals = self.family.batch_offsets(names, round_)
+        self._rounds[round_][rows] = vals
+        self._depth[rows] = round_ + 1
+        entry = self._sorted.get(round_)
+        if entry is not None:
+            # The round is indexed already: merge the new rows in.
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            pos = np.searchsorted(entry[0], vals, side="right")
+            self._sorted[round_] = (
+                np.insert(entry[0], pos, vals),
+                np.insert(entry[1], pos, rows[order]),
             )
-        return col
+
+    def column(self, round_: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Round-``round_`` offsets of ``rows`` (default: every name).
+
+        Rows not yet digested that deep are extended first — through
+        every round they are missing, keeping depth a prefix — so the
+        result is aligned with ``rows`` and bit-identical to
+        :meth:`HashFamily.offset`. With ``rows=None`` the round's whole
+        backing array is returned (and cached: a second call digests
+        nothing and returns the same object).
+        """
+        if not 0 <= round_ < self.family.max_probes:
+            raise ConfigurationError(
+                f"round {round_} outside probe budget [0, {self.family.max_probes})"
+            )
+        full = rows is None
+        idx = np.arange(len(self.names)) if full else np.asarray(rows, dtype=np.int64)
+        need = idx[self._depth[idx] <= round_]
+        if need.size:
+            # Deduplicate (a row is digested once per round). Stable
+            # sort is a timsort on int64: linear on the already-sorted
+            # rows batched_locate gathers.
+            need = np.sort(need, kind="stable")
+            need = need[np.r_[True, need[1:] != need[:-1]]]
+            depth = self._depth
+            for r in range(int(depth[need].min()), round_ + 1):
+                at = need[depth[need] == r]
+                if at.size:
+                    self._digest(at, r)
+        if round_ >= len(self._rounds):  # no rows asked for, none digested
+            return np.empty(idx.size, dtype=np.float64)
+        col = self._rounds[round_]
+        return col if full else col[idx]
 
     def sorted_column(self, round_: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(sorted offsets, sorting permutation)`` for one round.
+        """``(sorted offsets, name indices)`` over the names digested at
+        ``round_``.
 
-        Columns are pure in ``(seed, name, round)``, so the sort is
-        computed once and stays valid for every epoch. Incremental
-        relocation uses it to find the names whose round-``r`` probe
-        falls inside a changed interval with two ``searchsorted`` calls
-        per delta interval — work proportional to the moved mass, not
-        the catalog.
+        Covers exactly the rows with ``depth > round_`` — a superset of
+        the names that inspected round ``round_`` under the current
+        epoch, which is all the delta scan of incremental relocation
+        reads (it finds the names whose round-``r`` probe falls inside
+        a changed interval with two ``searchsorted`` calls per delta
+        interval — work proportional to the moved mass, not the
+        catalog). Built once by a stable argsort; rows digested at this
+        round afterwards (a reconfiguration pushed them deeper) are
+        merge-inserted as they are digested, so the index holds the same
+        ``(offset, name)`` entries as a fresh stable argsort over the
+        digested rows.
         """
         entry = self._sorted.get(round_)
         if entry is None:
-            col = self.column(round_)
-            order = np.argsort(col, kind="stable")
-            entry = self._sorted[round_] = (col[order], order)
+            rows = np.flatnonzero(self._depth > round_)
+            vals = self._rounds[round_][rows] if rows.size else np.empty(0)
+            order = np.argsort(vals, kind="stable")
+            entry = self._sorted[round_] = (vals[order], rows[order])
         return entry
 
 
@@ -236,7 +313,8 @@ def batched_locate(
     """Resolve every name in ``probes`` against ``table``.
 
     Runs the ANU probe loop breadth-first: round ``r`` re-hashes only
-    the names still unresolved after rounds ``< r``. Returns
+    the names still unresolved after rounds ``< r`` — and gathers, so
+    digests, round ``r`` of ``probes`` only for those rows. Returns
     ``(owner_slot, probes_used)`` arrays (``probes_used`` counts hash
     evaluations, 1-based, matching ``ANUManager.lookup``'s accounting).
 
@@ -246,7 +324,7 @@ def batched_locate(
     chaos path ("never route to a dead server"), enforced in the
     kernel regardless of whether the layout was already updated.
 
-    ``subset`` restricts resolution to the given name indices (the
+    ``subset`` restricts resolution to the given distinct name indices (the
     epoch-delta relocation path re-resolves only invalidated names);
     the returned arrays then align with ``subset`` — ``owner[j]`` is
     the resolution of name ``subset[j]``. Resolution of a name depends
@@ -270,9 +348,8 @@ def batched_locate(
         blocked = None
     unresolved = np.arange(n)
     for round_ in range(probes.family.max_probes):
-        col = probes.column(round_)
         gather = unresolved if idx is None else idx[unresolved]
-        slots = table.locate(col[gather])
+        slots = table.locate(probes.column(round_, gather))
         hit = slots >= 0
         if blocked is not None:
             hit &= ~blocked[np.maximum(slots, 0)]

@@ -14,7 +14,7 @@ relocation): each round patches the :class:`SegmentTable` from the
 changed servers' spans, computes the exact set of intervals whose
 effective owner differs between the epochs
 (:func:`~repro.core.vector.segment_delta`), and re-resolves only the
-names whose materialized probe columns at rounds ``<= used`` intersect
+names whose inspected probes (rounds ``< used``) intersect
 that delta — every other name provably keeps its ``(owner, used)``
 resolution, so per-round work is proportional to the *moved mass*
 instead of the catalog. ``REPRO_VECTOR_RELOCATE=full`` (or
@@ -150,20 +150,14 @@ class VectorANU(RelocationStats, LoadManager):
         self._probes = ProbeMatrix(self._names, self.hash_family)
         self._index = None
         self._relocate()
-        # Hash a few rounds past the deepest probe used so far, while we
-        # are still in setup: later reconfigurations shrink regions and
-        # probe deeper, and hashing a million names mid-run would show
-        # up as a throughput stall in the drive phase.
-        headroom = min(
-            self._probes.rounds_materialized + 4, self.hash_family.max_probes
-        )
-        for round_ in range(headroom):
-            self._probes.column(round_)
-            if self.relocate_mode == "incremental":
-                # The delta scan reads the per-round sorted index; warm
-                # it here for the same reason — an argsort of a million
-                # names per probe round would otherwise land inside the
-                # first tuning round's reshuffle timing.
+        if self.relocate_mode == "incremental" and self._used.size:
+            # The delta scan reads the sorted index of every round some
+            # name inspected; build them now, while still in setup, so
+            # an argsort over the catalog never lands inside the first
+            # reconfiguration's timing. Deeper rounds are neither
+            # hashed nor sorted until a reconfiguration pushes a name
+            # there — then only that name is digested and merged in.
+            for round_ in range(int(self._used.max())):
                 self._probes.sorted_column(round_)
         return {}
 
@@ -187,13 +181,13 @@ class VectorANU(RelocationStats, LoadManager):
 
         Patches the segment table from the changed servers' spans,
         sweeps the exact set of intervals whose effective owner changed
-        (:func:`segment_delta`), and re-resolves only the names with a
-        materialized probe at rounds ``<= used`` inside those
-        intervals. Returns ``(invalidated indices, their old owners)``
-        — everything else provably resolves identically: at rounds
-        before its resolving probe a kept name's offsets were
-        effectively unmapped and still are (no delta hit), and at the
-        resolving round its owner is unchanged.
+        (:func:`segment_delta`), and re-resolves only the names with an
+        inspected probe (rounds ``< used``) inside those intervals.
+        Returns ``(invalidated indices, their old owners)`` — everything
+        else provably resolves identically: at rounds before its
+        resolving probe a kept name's offsets were effectively unmapped
+        and still are (no delta hit), and at the resolving round its
+        owner is unchanged.
         """
         old_table = self._table
         old_blocked = self._table_blocked

@@ -105,13 +105,14 @@ class FramedConnection:
         self._closed = True
         self._reader_task.cancel()
         try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        try:
-            self._writer.close()
-        except Exception:
-            pass
+            # Joins the reader (retrieving its outcome) without
+            # swallowing a cancellation of the caller itself.
+            await asyncio.gather(self._reader_task, return_exceptions=True)
+        finally:
+            try:
+                self._writer.close()
+            except Exception:
+                pass
 
     @property
     def closed(self) -> bool:
@@ -172,7 +173,11 @@ class HardenedServiceClient(RequestLedger):
     async def connect(self) -> None:
         """Open the locator connection (server connections open lazily)."""
         if self._locator is None or self._locator.closed:
-            self._locator = await FramedConnection.open(*self.locator_address)
+            conn = await FramedConnection.open(*self.locator_address)
+            if self._locator is None or self._locator.closed:
+                self._locator = conn
+            else:  # a concurrent caller connected first
+                await conn.close()
 
     async def close(self) -> None:
         """Close every connection this client holds."""
@@ -323,6 +328,12 @@ class HardenedServiceClient(RequestLedger):
             conn = await FramedConnection.open(host, port)
         except OSError:
             return None
+        current = self._servers.get(server)
+        if current is not None and not current.closed:
+            # A concurrent drive connected first. Keep one connection
+            # per peer, so close() reaches every one this client opened.
+            await conn.close()
+            return current
         self._servers[server] = conn
         return conn
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Set, Tuple
 
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import Connections, ProtocolError, read_frame, write_frame
 
 __all__ = ["EchoFileServer"]
 
@@ -61,7 +61,7 @@ class EchoFileServer:
         # One FIFO service queue, exactly like the simulator's server.
         self._service = asyncio.Lock()
         self._tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections = Connections()
         self._killed = False
         #: Requests fully served (diagnostics; the bench cross-checks
         #: the sum against the clients' completion counters).
@@ -74,6 +74,7 @@ class EchoFileServer:
         """Bind and start serving; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError(f"server {self.server_id!r} already started")
+        self._connections = Connections()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port or 0
         )
@@ -86,21 +87,19 @@ class EchoFileServer:
         Dropping established connections matters: peers blocked on a
         reply must see the transport die (that is what drives the
         hardened client's timeout/redirect path on a kill), and
-        ``Server.wait_closed`` alone only stops the *listener*.
+        ``Server.wait_closed`` alone only stops the *listener*. Every
+        connection handler has returned when this does.
         """
+        if self._server is not None:
+            self._server.close()
+        # Sever first: a live handler could still spawn service tasks.
+        await self._connections.sever()
         for task in list(self._tasks):
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -128,12 +127,14 @@ class EchoFileServer:
         # One reader loop per connection; each request is served by its
         # own task so a single connection can pipeline requests (the
         # FIFO lock still serializes actual service).
-        self._writers.add(writer)
+        if not self._connections.enter(writer):
+            writer.close()
+            return
         try:
             while True:
                 try:
                     message = await read_frame(reader)
-                except ProtocolError:
+                except (ProtocolError, ConnectionError):
                     break
                 if message is None:
                     break
@@ -141,7 +142,7 @@ class EchoFileServer:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
         finally:
-            self._writers.discard(writer)
+            self._connections.leave()
             writer.close()
 
     async def _serve(self, message: dict, writer: asyncio.StreamWriter) -> None:

@@ -39,7 +39,7 @@ from ..control import EpochBatcher, as_controller
 from ..core.anu import ANUManager
 from ..core.errors import ConfigurationError
 from ..core.hashing import HashFamily
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import Connections, ProtocolError, read_frame, write_frame
 from .recording import EpochRecord, MembershipRecord, ServiceRecording
 
 __all__ = ["LocatorService"]
@@ -110,7 +110,7 @@ class LocatorService:
             },
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: set = set()
+        self._connections = Connections()
         self._epoch_task: Optional[asyncio.Task] = None
         self._t0: Optional[float] = None
         self._epoch_index = 0
@@ -131,6 +131,7 @@ class LocatorService:
         """
         if self._server is not None:
             raise RuntimeError("locator already started")
+        self._connections = Connections()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port or 0
         )
@@ -140,7 +141,8 @@ class LocatorService:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop the epoch loop and close the listener."""
+        """Stop the epoch loop, close the listener, sever every
+        connection and wait for its handler to return."""
         if self._epoch_task is not None:
             self._epoch_task.cancel()
             try:
@@ -148,14 +150,10 @@ class LocatorService:
             except asyncio.CancelledError:
                 pass
             self._epoch_task = None
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
         if self._server is not None:
             self._server.close()
+        await self._connections.sever()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 
@@ -205,12 +203,14 @@ class LocatorService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        if not self._connections.enter(writer):
+            writer.close()
+            return
         try:
             while True:
                 try:
                     message = await read_frame(reader)
-                except ProtocolError:
+                except (ProtocolError, ConnectionError):
                     break
                 if message is None:
                     break
@@ -220,7 +220,7 @@ class LocatorService:
                 except (ConnectionError, RuntimeError):
                     break
         finally:
-            self._writers.discard(writer)
+            self._connections.leave()
             writer.close()
 
     def handle(self, message: dict) -> dict:

@@ -46,6 +46,7 @@ __all__ = [
     "FrameDecoder",
     "read_frame",
     "write_frame",
+    "Connections",
 ]
 
 #: Hard cap on one frame's payload. Locator messages are tens to a few
@@ -180,3 +181,42 @@ async def write_frame(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> 
     """Write one message and drain the transport."""
     writer.write(encode_frame(message))
     await writer.drain()
+
+
+class Connections:
+    """The established connections of one asyncio server.
+
+    ``asyncio.Server.close()`` only stops the listener (and on 3.11
+    ``wait_closed()`` then returns at once), so a server that merely
+    closes its writers on stop leaves its handler tasks pending. Loop
+    teardown cancels them, and asyncio logs a ``CancelledError``
+    traceback per connection from the stream protocol's done callback.
+    Handlers register here for their lifetime; :meth:`sever` aborts
+    every transport and joins every handler, so stop returns with no
+    task of the server left behind.
+    """
+
+    def __init__(self) -> None:
+        self._open: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._severed = False
+
+    def enter(self, writer: asyncio.StreamWriter) -> bool:
+        """Register the calling handler; ``False`` once severing has
+        begun (the handler must close ``writer`` and return)."""
+        if self._severed:
+            return False
+        self._open[asyncio.current_task()] = writer
+        return True
+
+    def leave(self) -> None:
+        """Unregister the calling handler (call from its ``finally``)."""
+        self._open.pop(asyncio.current_task(), None)
+
+    async def sever(self) -> None:
+        """Abort every connection and wait for its handler to return."""
+        self._severed = True
+        while self._open:
+            handlers = list(self._open)
+            for writer in self._open.values():
+                writer.transport.abort()
+            await asyncio.gather(*handlers, return_exceptions=True)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ConfigurationError, HashFamily
 
@@ -73,6 +76,28 @@ class TestBatchAPIs:
         batch = fam.offsets(names, round_=2)
         for name, x in zip(names, batch):
             assert x == fam.offset(name, 2)
+
+    @given(
+        names=st.lists(st.text(max_size=40), max_size=30),
+        seed=st.integers(min_value=0, max_value=2**32),
+        round_=st.integers(min_value=0, max_value=63),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_offsets_bit_identical_to_reference(self, names, seed, round_):
+        fam = HashFamily(seed=seed)
+        salt = seed.to_bytes(8, "little") + round_.to_bytes(4, "little")
+        want = [
+            int.from_bytes(
+                hashlib.blake2b(n.encode("utf-8"), digest_size=8, salt=salt).digest(),
+                "little",
+            )
+            / float(2**64)
+            for n in names
+        ]
+        got = fam.batch_offsets(names, round_)
+        assert got.dtype == np.float64 and got.shape == (len(names),)
+        assert got.tolist() == want
+        assert got.tolist() == [fam.offset(n, round_) for n in names]
 
     def test_offset_matrix_shape_and_content(self):
         fam = HashFamily(seed=5)

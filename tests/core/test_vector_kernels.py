@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.fileset import FileSet, FileSetCatalog
 from repro.core import ANUManager, HashFamily
-from repro.core.errors import LookupExhaustedError
+from repro.core.errors import ConfigurationError, LookupExhaustedError
 from repro.core.interval import IntervalLayout
 from repro.core.layout import LayoutEngine
 from repro.core.vector import (
@@ -23,6 +24,7 @@ from repro.core.vector import (
     batched_locate,
     fifo_drain,
 )
+from repro.policies.vector import VectorANU
 
 SIDS = [f"s{i}" for i in range(7)]
 
@@ -91,6 +93,32 @@ class TestSegmentTable:
             assert slot == (0 if owner is not None else -1)
 
 
+def _count_digests(fam):
+    """Record every ``batch_offsets`` call on ``fam`` as ``(round, names)``."""
+    calls = []
+    real = fam.batch_offsets
+
+    def spy(names, round_=0):
+        calls.append((round_, list(names)))
+        return real(names, round_)
+
+    fam.batch_offsets = spy
+    return calls
+
+
+def _digested_pairs(calls):
+    return [(round_, name) for round_, names in calls for name in names]
+
+
+def _sliver_table(sids, seed, length):
+    """A table whose regions are shrunk so lookups walk deep rounds."""
+    layout = _shuffled_layout(sids, seed=seed)
+    LayoutEngine(floor_length=length).apply_targets(
+        layout, {sid: length for sid in sids}
+    )
+    return SegmentTable.from_layout(layout, _slots(sids))
+
+
 class TestProbeMatrix:
     def test_columns_match_scalar_offsets(self):
         fam = HashFamily(seed=9)
@@ -102,11 +130,111 @@ class TestProbeMatrix:
                 assert col[i] == fam.offset(name, round_)
 
     def test_columns_cached(self):
-        probes = ProbeMatrix(["a", "b"], HashFamily(seed=0))
+        fam = HashFamily(seed=0)
+        calls = _count_digests(fam)
+        probes = ProbeMatrix(["a", "b", "c"], fam)
         assert probes.rounds_materialized == 0
+        # A gathered row is digested through every round up to the one
+        # asked for — depth stays a prefix — and no other row is.
+        assert probes.column(2, [1]).tolist() == [fam.offset("b", 2)]
+        assert probes.depth.tolist() == [0, 3, 0]
+        assert probes.rounds_materialized == 3
         c0 = probes.column(0)
+        assert probes.depth.tolist() == [1, 3, 1]
+        n_digests = len(_digested_pairs(calls))
+        assert n_digests == 5
         assert probes.column(0) is c0
-        assert probes.rounds_materialized == 1
+        assert probes.column(1, [1]).tolist() == [fam.offset("b", 1)]
+        assert len(_digested_pairs(calls)) == n_digests
+        assert probes.rounds_materialized == 3
+
+    def test_round_outside_budget_rejected(self):
+        probes = ProbeMatrix(["a"], HashFamily(seed=0, max_probes=3))
+        with pytest.raises(ConfigurationError):
+            probes.column(3)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=20),
+        length=st.sampled_from([0.02, 0.05, 0.1]),
+        subsets=st.lists(
+            st.lists(st.integers(min_value=0, max_value=199), max_size=60),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_digests_each_pair_once_and_exactly(self, seed, length, subsets):
+        fam = HashFamily(seed=seed)
+        calls = _count_digests(fam)
+        names = [f"/fs/{i}" for i in range(200)]
+        probes = ProbeMatrix(names, fam)
+        wide = SegmentTable.from_layout(
+            _shuffled_layout(SIDS[:4], seed=seed), _slots(SIDS[:4])
+        )
+        narrow = _sliver_table(SIDS[:4], seed, length)
+        # Alternate between a wide and a narrow epoch so later subsets
+        # both re-read digested rounds and push names deeper.
+        for k, subset in enumerate(subsets):
+            table = narrow if k % 2 else wide
+            batched_locate(probes, table, subset=np.unique(subset))
+        batched_locate(probes, wide)
+        pairs = _digested_pairs(calls)
+        assert len(pairs) == len(set(pairs))
+        assert len(pairs) == int(probes.depth.sum())
+        for i in range(len(names)):
+            depth = int(probes.depth[i])
+            got = [probes.column(r, [i])[0] for r in range(depth)]
+            assert got == [fam.offset(names[i], r) for r in range(depth)]
+        assert len(_digested_pairs(calls)) == len(pairs)  # reads digest nothing
+
+    def test_fresh_locate_digests_exactly_the_probes_used(self):
+        fam = HashFamily(seed=3)
+        calls = _count_digests(fam)
+        probes = ProbeMatrix([f"/fs/{i}" for i in range(2_000)], fam)
+        owner, used = batched_locate(probes, _sliver_table(SIDS, 3, 0.05))
+        assert used.max() > 3  # the sliver forces deep rounds
+        assert len(_digested_pairs(calls)) == int(used.sum())
+        np.testing.assert_array_equal(probes.depth, used)
+
+    def test_initial_placement_digests_exactly_the_probes_used(self):
+        fam = HashFamily(seed=5)
+        calls = _count_digests(fam)
+        policy = VectorANU(list(SIDS), hash_family=fam, relocate_mode="incremental")
+        catalog = FileSetCatalog(
+            [FileSet(name=f"/fs/{i}", total_work=1.0, n_requests=1) for i in range(3_000)]
+        )
+        policy.initial_placement(catalog, None)
+        assert len(_digested_pairs(calls)) == int(policy._used.sum())
+
+    @given(seed=st.integers(min_value=0, max_value=20))
+    @settings(max_examples=20, deadline=None)
+    def test_sorted_column_after_extension_matches_fresh_argsort(self, seed):
+        fam = HashFamily(seed=seed)
+        probes = ProbeMatrix([f"/fs/{i}" for i in range(500)], fam)
+        sids = SIDS[:5]
+        _, used = batched_locate(
+            probes, SegmentTable.from_layout(_shuffled_layout(sids, seed), _slots(sids))
+        )
+        before = [
+            probes.sorted_column(round_)[0].size for round_ in range(int(used.max()))
+        ]
+        # A narrower epoch pushes a subset deeper: rounds already
+        # indexed gain rows (merged in), deeper ones may be digested fresh.
+        subset = np.arange(0, 500, 3)
+        batched_locate(probes, _sliver_table(sids, seed, 0.03), subset=subset)
+        assert (probes.depth > used).any()
+        grown = [
+            probes.sorted_column(round_)[0].size > size
+            for round_, size in enumerate(before)
+        ]
+        assert any(grown)
+        for round_ in range(probes.rounds_materialized):
+            vals, rows = probes.sorted_column(round_)
+            hashed = np.flatnonzero(probes.depth > round_)
+            col = probes.column(round_, hashed)
+            order = np.argsort(col, kind="stable")
+            np.testing.assert_array_equal(vals, col[order])
+            np.testing.assert_array_equal(rows, hashed[order])
 
 
 class TestBatchedLocate:

@@ -37,7 +37,7 @@ TINY = (
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_chaos_scale_sweep(points=TINY, seed=1)
+    return run_chaos_scale_sweep(points=TINY, seed=1, workers=1)
 
 
 class TestSweepSmoke:

@@ -33,7 +33,7 @@ TINY = (ScalePoint(n_servers=5, n_filesets=40, n_requests=2_000),)
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_scale_sweep(points=TINY, seed=1)
+    return run_scale_sweep(points=TINY, seed=1, workers=1)
 
 
 class TestSweepSmoke:
